@@ -1,12 +1,10 @@
-"""Client-API equivalents of the retired engine facade, for benchmarks.
+"""The paper's cold one-call-per-query protocol over the client API.
 
-The figure benchmarks measure the paper's cold one-call-per-query
-protocol.  They used to go through the deprecated
-``ReachabilityEngine.s_query``/``m_query`` shims; these helpers issue
-the same executions through :class:`repro.api.ReachabilityClient` with
-explicit algorithms (a benchmark must pin what it measures — no
-auto-routing) and ``reuse_regions=False`` so repeated sweep points pay
-their own bounding-region work, exactly like the old facade did.
+The figure benchmarks and the tests answer single queries with these
+helpers: each issues one :class:`repro.api.ReachabilityClient` send with
+an explicit algorithm (a benchmark must pin what it measures — no
+auto-routing) and ``reuse_regions=False``, so every call pays its own
+bounding-region work.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ runs its parameter sweep, prints the paper-style series, writes it to
 ``benchmarks/results/`` and feeds one representative query per curve to
 pytest-benchmark.  All query execution goes through the
 :class:`~repro.api.client.ReachabilityClient` API (see
-``client_protocol.py`` for the cold per-query helpers); the legacy
-engine shims are linter-gated out of this tree.
+``client_protocol.py`` for the cold per-query helpers).
 """
 
 from __future__ import annotations

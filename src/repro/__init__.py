@@ -14,7 +14,7 @@ Module map (see ``docs/architecture.md`` for the routing diagram):
   with bounded in-flight window / ``run_batch``); see ``docs/api.md``.
 * ``repro.core`` — planner -> executor-registry -> storage query stack:
   :class:`QueryService` (batching, bounding-region dedup),
-  :class:`ReachabilityEngine` (index ownership + classic facade),
+  :class:`ReachabilityEngine` (index ownership),
   ``planner`` / ``executors`` (routing and pluggable algorithms),
   ``st_index`` / ``con_index`` / ``probability`` / ``sqmb`` / ``tbs`` /
   ``mqmb`` / ``baseline`` / ``reverse`` (the paper's machinery),

@@ -25,9 +25,10 @@ Quickstart::
     for response in client.stream(requests, max_workers=4):
         print(response.describe())
 
-The legacy entry points (``ReachabilityEngine.s_query`` / ``m_query`` /
-``r_query`` and ``QueryService.query`` wrappers) still work but are
-deprecated shims over this API.
+There is no other way to run a query:
+:class:`~repro.core.engine.ReachabilityEngine` only owns the indexes, and
+:class:`~repro.core.service.QueryService` only owns the caches the client
+executes through.
 """
 
 from repro.api.client import BatchStream, ReachabilityClient, as_client

@@ -1,7 +1,6 @@
-"""The unified client: one front door for every query, batch or stream.
+"""The unified client: the one front door for every query, batch or stream.
 
-:class:`ReachabilityClient` replaces the kwarg-sprawl entry points
-(``engine.s_query`` / ``service.query`` / per-kind wrappers) with one
+:class:`ReachabilityClient` is the only way to run a query, through one
 request/response surface:
 
 * :meth:`~ReachabilityClient.send` — answer one

@@ -20,14 +20,12 @@ Query-service layers (planner -> executors -> storage):
   :class:`QueryPlan` (algorithm, bounding strategy, Δt slots).
 * :mod:`~repro.core.executors` — the executor registry; one module per
   algorithm family, extensible via ``@register_executor``.
-* :mod:`~repro.core.engine` — index-owning :class:`ReachabilityEngine`
-  with the classic one-query facade.
+* :mod:`~repro.core.engine` — index-owning :class:`ReachabilityEngine`.
 * :mod:`~repro.core.region_cache` — the thread-safe, service-lifetime
   bounding-region LRU shared across batches.
 * :mod:`~repro.core.service` — :class:`QueryService`, owner of the
-  service-lifetime caches the client pipelines execute through (its
-  classic query entry points are deprecated shims; the stable front door
-  is :mod:`repro.api`).
+  service-lifetime caches the client pipelines execute through (the one
+  query entry point is :mod:`repro.api`).
 * :mod:`~repro.core.explain` — ``EXPLAIN``-style plan + cost rendering.
 * :mod:`~repro.core.legacy_expansion` /
   :mod:`~repro.core.legacy_probability` — pre-kernel reference

@@ -1,56 +1,27 @@
-"""Index ownership and the classic single-query facade.
+"""Index ownership: the network, the data and the per-Δt indexes.
 
 :class:`ReachabilityEngine` owns the road network, the trajectory database,
-one simulated disk, and per-Δt ST-Index / Con-Index pairs.  It no longer
-dispatches algorithms itself: queries are planned by
-:mod:`~repro.core.planner` and run by whichever executor the
-:mod:`~repro.core.executors` registry holds for the plan — the ``s_query``
-/ ``m_query`` / ``r_query`` methods are thin wrappers kept for the classic
-one-query-at-a-time call sites.  Batch workloads should go through
-:class:`~repro.core.service.QueryService`, which shares bounding-region
-computations and warm buffer pools across queries.
-
-Every execution returns a :class:`~repro.core.query.QueryResult` carrying
-the Prob-reachable segments and the cost metrics (wall time, simulated disk
-I/O, probability checks) the evaluation chapter reports.
+one simulated disk, and per-Δt ST-Index / Con-Index pairs.  It does not
+answer queries: requests go through :class:`repro.api.ReachabilityClient`,
+which plans them with :mod:`~repro.core.planner` and runs them with
+whichever executor the :mod:`~repro.core.executors` registry holds for
+the plan, against a :class:`~repro.core.service.QueryService` that keeps
+the service-lifetime caches.
 """
 
 from __future__ import annotations
 
-import warnings
 import weakref
 
 from repro.core.con_index import ConnectionIndex
-from repro.core.executors import execute_plan, executor_names
-from repro.core.planner import plan_query
-from repro.core.query import MQuery, QueryResult, SQuery
 from repro.core.st_index import STIndex
 from repro.network.model import RoadNetwork
 from repro.storage.disk import SimulatedDisk
 from repro.trajectory.store import TrajectoryDatabase
 
 
-# The classic algorithm tuples are registry lookups now: the module
-# attributes S_QUERY_ALGORITHMS / M_QUERY_ALGORITHMS / R_QUERY_ALGORITHMS
-# still read as tuples (membership and iteration keep working) but are
-# computed from the executor registry at access time, so third-party
-# registrations show up automatically.
-_ALGORITHM_EXPORTS = {
-    "S_QUERY_ALGORITHMS": "s",
-    "M_QUERY_ALGORITHMS": "m",
-    "R_QUERY_ALGORITHMS": "r",
-}
-
-
-def __getattr__(name: str) -> tuple[str, ...]:
-    kind = _ALGORITHM_EXPORTS.get(name)
-    if kind is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return executor_names(kind)
-
-
 class ReachabilityEngine:
-    """Build indexes over a dataset and answer ST reachability queries.
+    """Build and own the indexes that ST reachability queries run against.
 
     Args:
         network: the (re-segmented) road network.
@@ -220,85 +191,3 @@ class ReachabilityEngine:
         """
         for pool in self.buffer_pools():
             pool.invalidate()
-
-    # -- classic single-query facade -------------------------------------------
-    #
-    # Deprecated shims: the stable entry point is the request/response
-    # client (repro.api.ReachabilityClient), which routes through the
-    # service-lifetime caches and records its routing decisions.  These
-    # wrappers keep the classic one-call-per-query protocol (no shared
-    # region cache: every call pays its own expansion) for old call sites.
-
-    def _deprecated(self, name: str) -> None:
-        warnings.warn(
-            f"ReachabilityEngine.{name} is deprecated; build a "
-            "repro.api.Request and answer it with "
-            "repro.api.ReachabilityClient.send",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def s_query(
-        self,
-        query: SQuery,
-        algorithm: str = "sqmb_tbs",
-        delta_t_s: int = 300,
-        warm: bool = False,
-    ) -> QueryResult:
-        """Deprecated: answer a single-location ST reachability query.
-
-        Args:
-            query: the s-query ``(S, T, L, Prob)``.
-            algorithm: a registered s-query algorithm (``"sqmb_tbs"``,
-                ``"es"``, ``"es_pruned"``, ...).
-            delta_t_s: index granularity Δt in seconds.
-            warm: keep buffer pools from previous queries (default: cold,
-                so each execution pays its own I/O, matching the paper's
-                per-query running-time measurements).
-        """
-        self._deprecated("s_query")
-        plan = plan_query("s", query, algorithm, delta_t_s, warm=warm)
-        return execute_plan(self, plan, query)
-
-    def m_query(
-        self,
-        query: MQuery,
-        algorithm: str = "mqmb_tbs",
-        delta_t_s: int = 300,
-        warm: bool = False,
-    ) -> QueryResult:
-        """Deprecated: answer a multi-location ST reachability query.
-
-        Args:
-            query: the m-query ``({s1..sn}, T, L, Prob)``.
-            algorithm: a registered m-query algorithm (``"mqmb_tbs"``,
-                ``"sqmb_tbs_each"``, ``"es_each"``, ...).
-            delta_t_s: index granularity Δt in seconds.
-            warm: as in :meth:`s_query`.
-        """
-        self._deprecated("m_query")
-        plan = plan_query("m", query, algorithm, delta_t_s, warm=warm)
-        return execute_plan(self, plan, query)
-
-    def r_query(
-        self,
-        query: SQuery,
-        algorithm: str = "sqmb_tbs",
-        delta_t_s: int = 300,
-        warm: bool = False,
-    ) -> QueryResult:
-        """Deprecated: answer a *reverse* reachability query: from which road segments
-        can the query location be reached within ``[T, T+L]`` on at least a
-        ``Prob`` fraction of days?  This is the dual that the paper's
-        location-based-advertising application needs (Fig 1.2).
-
-        Args:
-            query: interpreted with ``query.location`` as the destination.
-            algorithm: a registered r-query algorithm (``"sqmb_tbs"`` or
-                ``"es"``).
-            delta_t_s: index granularity Δt in seconds.
-            warm: as in :meth:`s_query`.
-        """
-        self._deprecated("r_query")
-        plan = plan_query("r", query, algorithm, delta_t_s, warm=warm)
-        return execute_plan(self, plan, query)

@@ -1,9 +1,11 @@
-"""The batch-capable query service: plan, share, execute.
+"""The batch-capable query service: the caches queries share.
 
-:class:`QueryService` is the front door for workloads.  A single query
-behaves exactly like the classic engine facade (cold buffer pools, one
-plan, one executor), but :meth:`QueryService.run_batch` exploits what a
-multi-user workload shares:
+:class:`QueryService` owns the service-lifetime state that the client
+API (:class:`repro.api.ReachabilityClient`, the one query entry point)
+executes through.  A single :meth:`~QueryService.run_plan` runs one
+planned query (cold buffer pools unless warm, one executor), while
+:meth:`QueryService.run_batch` exploits what a multi-user workload
+shares:
 
 * **bounding-region dedup** — queries whose seeds fall in the same
   segments and Δt slot share their SQMB/MQMB/reverse bounding regions
@@ -28,13 +30,12 @@ eviction counters from :class:`~repro.storage.disk.DiskStats`).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.engine import ReachabilityEngine
 from repro.core.executors import ExecutionContext, execute_plan
-from repro.core.planner import QueryPlan, plan_query
+from repro.core.planner import QueryPlan
 from repro.core.query import MQuery, QueryResult, SQuery
 from repro.core.region_cache import RegionCache
 from repro.storage.disk import DiskStats
@@ -313,26 +314,6 @@ class QueryService:
         """Explicitly drop every cached bounding region."""
         self.region_cache.invalidate()
 
-    # -- planning ----------------------------------------------------------
-
-    def plan(
-        self,
-        query: SQuery | MQuery,
-        algorithm: str | None = None,
-        delta_t_s: int | None = None,
-        kind: str | None = None,
-        warm: bool = False,
-    ) -> QueryPlan:
-        """Plan one query without executing it (``EXPLAIN``-style)."""
-        resolved_kind = kind if kind is not None else kind_of(query)
-        return plan_query(
-            resolved_kind,
-            query,
-            algorithm if algorithm is not None else DEFAULT_ALGORITHMS[resolved_kind],
-            delta_t_s if delta_t_s is not None else self.delta_t_s,
-            warm=warm,
-        )
-
     # -- single queries ------------------------------------------------------
 
     def run_plan(
@@ -343,8 +324,7 @@ class QueryService:
     ) -> tuple[QueryResult, ExecutionContext]:
         """Run one planned query through the service-lifetime caches.
 
-        The single execution path behind both the client API's ``send``
-        and the deprecated per-kind wrappers: a fresh
+        The single execution path behind the client API's ``send``: a fresh
         :class:`ExecutionContext` wired to the service's bounding-region
         cache (unless ``reuse_regions`` is off), so repeated
         identically-shaped queries do not re-expand their bounds.
@@ -359,61 +339,6 @@ class QueryService:
             region_cache=self.region_cache if reuse_regions else None,
         )
         return execute_plan(self.engine, plan, query, context=context), context
-
-    def execute(
-        self,
-        query: SQuery | MQuery,
-        algorithm: str | None = None,
-        delta_t_s: int | None = None,
-        kind: str | None = None,
-        warm: bool = False,
-    ) -> QueryResult:
-        """Plan and run one query through the service-lifetime caches.
-
-        Single queries run against cold buffer pools unless ``warm`` (the
-        paper's per-query protocol), but share the bounding-region cache
-        with every other query on this service.  This is the execution
-        path behind the deprecated per-kind wrappers; new code should
-        use :class:`repro.api.ReachabilityClient`.
-        """
-        plan = self.plan(query, algorithm, delta_t_s, kind, warm)
-        result, _ = self.run_plan(plan, query)
-        return result
-
-    def _deprecated(self, name: str) -> None:
-        warnings.warn(
-            f"QueryService.{name} is deprecated; build a repro.api.Request "
-            "and answer it with repro.api.ReachabilityClient.send",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def query(
-        self,
-        query: SQuery | MQuery,
-        algorithm: str | None = None,
-        delta_t_s: int | None = None,
-        kind: str | None = None,
-        warm: bool = False,
-    ) -> QueryResult:
-        """Deprecated: answer one query (use the client API instead)."""
-        self._deprecated("query")
-        return self.execute(query, algorithm, delta_t_s, kind, warm)
-
-    def s_query(self, query: SQuery, **kw) -> QueryResult:
-        """Deprecated: use :meth:`repro.api.ReachabilityClient.send`."""
-        self._deprecated("s_query")
-        return self.execute(query, kind="s", **kw)
-
-    def m_query(self, query: MQuery, **kw) -> QueryResult:
-        """Deprecated: use :meth:`repro.api.ReachabilityClient.send`."""
-        self._deprecated("m_query")
-        return self.execute(query, kind="m", **kw)
-
-    def r_query(self, query: SQuery, **kw) -> QueryResult:
-        """Deprecated: use :meth:`repro.api.ReachabilityClient.send`."""
-        self._deprecated("r_query")
-        return self.execute(query, kind="r", **kw)
 
     # -- batches ----------------------------------------------------------------
 

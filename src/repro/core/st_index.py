@@ -270,10 +270,10 @@ class STIndex:
     ) -> "STIndex":
         """Rebuild a built index from persisted state (no re-indexing).
 
-        ``disk`` carries the time-list pages (e.g. from
-        :meth:`~repro.storage.disk.SimulatedDisk.from_state`) and
+        ``disk`` carries the time-list pages (e.g. a reopened
+        :class:`~repro.storage.backends.FileBackedDisk`) and
         ``directory`` the extent pointers into them — the layout
-        :func:`repro.io.persist.save_st_index` round-trips.  Appends keep
+        :func:`repro.io.persist.save_store` round-trips.  Appends keep
         working: the restored store opens a fresh tail page after the
         persisted extents.
         """

@@ -1,4 +1,4 @@
-"""Serialization of networks, databases and whole datasets.
+"""Serialization of networks, databases, datasets and durable stores.
 
 Formats:
 
@@ -11,9 +11,11 @@ Formats:
   ``original_network.json``, ``database.npz`` and ``config.json`` so a
   built :class:`~repro.datasets.shenzhen_like.ShenzhenLikeDataset` round
   trips exactly;
-* **ST-Index** — one ``.npz`` of the simulated disk's page buffer plus
-  the time-list directory in the extent pointer format
-  ``(first_page, num_pages, offset, length)``, so a built index reloads
+* **store** — the one durable engine format (:func:`save_store` /
+  :func:`open_store`): a directory holding the network, the speed model,
+  a ``FileBackedDisk`` of ST-Index pages and ``directory.npz``, the
+  time-list directory in the extent pointer format
+  ``(first_page, num_pages, offset, length)``, so a built index reopens
   without re-indexing and serves byte-identical records with identical
   I/O accounting.
 """
@@ -33,10 +35,6 @@ from repro.spatial.geometry import Point
 from repro.trajectory.store import TrajectoryDatabase
 
 FORMAT_VERSION = 1
-
-#: Version of the ST-Index ``.npz`` layout — independent of the dataset
-#: formats above, so evolving one cannot invalidate saves of the other.
-ST_INDEX_FORMAT_VERSION = 1
 
 #: Version of the durable store-bundle directory layout (:func:`save_store`).
 STORE_FORMAT_VERSION = 1
@@ -224,57 +222,7 @@ def load_database(path: str | Path) -> TrajectoryDatabase:
     return database
 
 
-# -- ST-Indexes ----------------------------------------------------------------
-
-
-def save_st_index(index, path: str | Path) -> Path:
-    """Persist a built ST-Index: disk pages + extent-pointer directory.
-
-    The directory flattens to one row per chain record — segment, slot,
-    position in the chain, and the record's ``(first_page, num_pages,
-    offset, length)`` extent pointer — alongside the disk's contiguous
-    page buffer and per-page payload lengths.
-    """
-    from repro.core.st_index import STIndex
-
-    if not isinstance(index, STIndex):
-        raise TypeError(f"expected an STIndex, got {type(index).__name__}")
-    if not index._built:
-        raise ValueError("build the ST-Index before saving it")
-    path = Path(path)
-    index._store.flush()  # group commit: make the tail page durable
-    buffer, used = index.disk.export_state()
-    segments, slots, positions = [], [], []
-    first_pages, num_pages, offsets, lengths = [], [], [], []
-    for (segment_id, slot), chain in sorted(index._directory.items()):
-        for position, pointer in enumerate(chain):
-            segments.append(segment_id)
-            slots.append(slot)
-            positions.append(position)
-            first_pages.append(pointer.first_page)
-            num_pages.append(pointer.num_pages)
-            offsets.append(pointer.offset)
-            lengths.append(pointer.length)
-    np.savez_compressed(
-        path,
-        version=np.int64(ST_INDEX_FORMAT_VERSION),
-        delta_t_s=np.int64(index.delta_t_s),
-        page_size=np.int64(index.disk.page_size),
-        read_latency_ms=np.float64(index.disk.read_latency_ms),
-        write_latency_ms=np.float64(index.disk.write_latency_ms),
-        buffer_pool_pages=np.int64(index.pool.capacity),
-        record_cache_size=np.int64(index.record_cache_size),
-        pages=np.frombuffer(buffer, dtype=np.uint8),
-        page_used=np.asarray(used, dtype=np.int64),
-        dir_segment=np.asarray(segments, dtype=np.int64),
-        dir_slot=np.asarray(slots, dtype=np.int64),
-        dir_position=np.asarray(positions, dtype=np.int64),
-        dir_first_page=np.asarray(first_pages, dtype=np.int64),
-        dir_num_pages=np.asarray(num_pages, dtype=np.int64),
-        dir_offset=np.asarray(offsets, dtype=np.int64),
-        dir_length=np.asarray(lengths, dtype=np.int64),
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+# -- durable engine stores -----------------------------------------------------
 
 
 def _validated_pointer(
@@ -307,111 +255,6 @@ def _validated_pointer(
             "outside the persisted page range"
         )
     return RecordPointer(first_page, pages, offset, length)
-
-
-def load_st_index(path: str | Path, network: RoadNetwork):
-    """Inverse of :func:`save_st_index` (needs the matching network).
-
-    Raises :class:`PersistFormatError` on a truncated or garbage file,
-    a missing array, an unsupported format version, or page/pointer
-    geometry that does not cohere — always before any data is served.
-    """
-    from repro.core.st_index import STIndex
-    from repro.storage.disk import DiskError, SimulatedDisk
-    from repro.storage.pagestore import RecordPointer
-
-    path = Path(path)
-    with _open_npz(path, "ST-Index") as data:
-        _npz_fields(
-            data,
-            (
-                "version",
-                "delta_t_s",
-                "page_size",
-                "read_latency_ms",
-                "write_latency_ms",
-                "buffer_pool_pages",
-                "record_cache_size",
-                "pages",
-                "page_used",
-                "dir_segment",
-                "dir_slot",
-                "dir_position",
-                "dir_first_page",
-                "dir_num_pages",
-                "dir_offset",
-                "dir_length",
-            ),
-            "ST-Index",
-            path,
-        )
-        if int(data["version"]) != ST_INDEX_FORMAT_VERSION:
-            raise PersistFormatError(
-                f"unsupported ST-Index format {int(data['version'])} "
-                f"(supported: {ST_INDEX_FORMAT_VERSION})"
-            )
-        dir_arrays = [
-            data["dir_segment"],
-            data["dir_slot"],
-            data["dir_position"],
-            data["dir_first_page"],
-            data["dir_num_pages"],
-            data["dir_offset"],
-            data["dir_length"],
-        ]
-        if len({arr.shape for arr in dir_arrays}) != 1 or dir_arrays[0].ndim != 1:
-            raise PersistFormatError(
-                f"ST-Index file {path} directory columns have mismatched shapes"
-            )
-        page_size = int(data["page_size"])
-        num_pages_total = int(data["page_used"].shape[0])
-        if data["pages"].size != num_pages_total * page_size:
-            raise PersistFormatError(
-                f"ST-Index file {path} page buffer holds {data['pages'].size} "
-                f"bytes, expected {num_pages_total} pages of {page_size}"
-            )
-        try:
-            disk = SimulatedDisk.from_state(
-                data["pages"].tobytes(),
-                data["page_used"].tolist(),
-                page_size=page_size,
-                read_latency_ms=float(data["read_latency_ms"]),
-                write_latency_ms=float(data["write_latency_ms"]),
-            )
-        except DiskError as exc:
-            raise PersistFormatError(
-                f"ST-Index file {path} page geometry is invalid: {exc}"
-            ) from None
-        directory: dict[tuple[int, int], list[RecordPointer]] = {}
-        rows = zip(*(arr.tolist() for arr in dir_arrays))
-        for segment_id, slot, position, first_page, pages, offset, length in rows:
-            chain = directory.setdefault((segment_id, slot), [])
-            if position != len(chain):
-                raise PersistFormatError(
-                    "ST-Index directory rows out of chain order"
-                )
-            chain.append(
-                _validated_pointer(
-                    first_page,
-                    pages,
-                    offset,
-                    length,
-                    num_pages_total,
-                    page_size,
-                    "ST-Index",
-                )
-            )
-        return STIndex.restore(
-            network,
-            int(data["delta_t_s"]),
-            disk,
-            directory,
-            buffer_pool_pages=int(data["buffer_pool_pages"]),
-            record_cache_size=int(data["record_cache_size"]),
-        )
-
-
-# -- durable engine stores -----------------------------------------------------
 
 
 def _speed_model_to_json(model: dict) -> dict:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ReachabilityClient
 from repro.core.engine import ReachabilityEngine
 from repro.datasets.shenzhen_like import (
     TEST_CONFIG,
@@ -37,3 +38,9 @@ def engine(test_dataset: ShenzhenLikeDataset) -> ReachabilityEngine:
     eng = ReachabilityEngine(test_dataset.network, test_dataset.database)
     eng.st_index(300)
     return eng
+
+
+@pytest.fixture(scope="session")
+def client(engine: ReachabilityEngine) -> ReachabilityClient:
+    """A client over the session engine, for tests that send queries."""
+    return ReachabilityClient(engine)

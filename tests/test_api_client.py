@@ -9,14 +9,14 @@ Covers the acceptance criteria of the client-API redesign:
   each matching its sequential equivalent;
 * single queries run through the service-lifetime region cache
   (``regions_reused`` increments across repeated sends);
-* the legacy ``QueryService``/engine entry points still work and emit
-  ``DeprecationWarning``.
+* ``QueryService.run_batch`` is warning-free.
 """
 
 import warnings
 
 import pytest
 
+from benchmarks.client_protocol import s_query
 from repro.api import (
     QueryOptions,
     ReachabilityClient,
@@ -90,14 +90,12 @@ class TestEnvelopes:
 
 
 class TestSend:
-    def test_send_matches_forced_engine_path(self, engine, client):
+    def test_send_matches_forced_engine_path(self, client):
         query = SQuery(CENTER, T, 600, 0.2)
         response = client.send(
             Request(query, QueryOptions(algorithm="sqmb_tbs"))
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            classic = engine.s_query(query)
+        classic = s_query(client, query)
         assert response.segments == classic.segments
         assert response.plan.algorithm == "sqmb_tbs"
 
@@ -124,16 +122,18 @@ class TestSend:
         assert third.regions_reused == 2
 
     def test_deprecated_service_query_reuses_cached_regions(self, engine):
-        """The legacy shim runs through the same cache (the original bug:
-        QueryService.query bypassed the service-lifetime RegionCache)."""
+        """A client over an existing service runs through that service's
+        cache (the original bug: the retired ``QueryService.query`` entry
+        point bypassed the service-lifetime RegionCache)."""
         service = QueryService(engine)
-        query = SQuery(CENTER, T, 600, 0.2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            service.query(query)
-            baseline = service.region_cache.stats()
-            service.query(query)
-            after = service.region_cache.stats()
+        client = ReachabilityClient(service)
+        request = Request(
+            SQuery(CENTER, T, 600, 0.2), QueryOptions(algorithm="sqmb_tbs")
+        )
+        client.send(request)
+        baseline = service.region_cache.stats()
+        client.send(request)
+        after = service.region_cache.stats()
         assert after["hits"] == baseline["hits"] + 2
         assert after["misses"] == baseline["misses"]
 
@@ -309,29 +309,6 @@ class TestStream:
 
 
 class TestDeprecations:
-    def test_engine_facade_warns(self, engine):
-        query = SQuery(CENTER, T, 600, 0.2)
-        with pytest.warns(DeprecationWarning, match="s_query is deprecated"):
-            engine.s_query(query)
-        with pytest.warns(DeprecationWarning, match="m_query is deprecated"):
-            engine.m_query(MQuery((CENTER,), T, 600, 0.2))
-        with pytest.warns(DeprecationWarning, match="r_query is deprecated"):
-            engine.r_query(query)
-
-    def test_service_wrappers_warn_but_work(self, engine):
-        service = QueryService(engine)
-        query = SQuery(CENTER, T, 600, 0.2)
-        with pytest.warns(DeprecationWarning, match="query is deprecated"):
-            via_service = service.query(query)
-        direct = ReachabilityClient(service).send(
-            Request(query, QueryOptions(algorithm="sqmb_tbs"))
-        )
-        assert via_service.segments == direct.segments
-        with pytest.warns(DeprecationWarning):
-            service.s_query(query)
-        with pytest.warns(DeprecationWarning):
-            service.r_query(query)
-
     def test_run_batch_does_not_warn(self, engine):
         service = QueryService(engine)
         with warnings.catch_warnings():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks.client_protocol import s_query
 from repro.apps.coverage import analyze_coverage
 from repro.apps.isochrone import isochrones
 from repro.apps.recommendation import POI, recommend_pois
@@ -29,12 +30,12 @@ class TestRecommendation:
     def test_empty_pois(self, engine):
         assert recommend_pois(engine, CENTER, T, 600, []) == []
 
-    def test_reachable_pois_only(self, engine, test_dataset, pois):
+    def test_reachable_pois_only(self, engine, client, test_dataset, pois):
         ranked = recommend_pois(engine, CENTER, T, 900, pois, prob=0.2)
         names = [r.poi.name for r in ranked]
         # Central POIs should make it; none may be duplicated.
         assert len(names) == len(set(names))
-        region = engine.s_query(SQuery(CENTER, T, 900, 0.2)).segments
+        region = s_query(client, SQuery(CENTER, T, 900, 0.2)).segments
         roads = {
             test_dataset.network.segment(s).canonical_id() for s in region
         }
@@ -106,9 +107,9 @@ class TestIsochrones:
             assert small.segments <= large.segments
             assert small.road_km <= large.road_km + 1e-9
 
-    def test_band_matches_single_query_roughly(self, engine, test_dataset):
+    def test_band_matches_single_query_roughly(self, engine, client, test_dataset):
         bands = isochrones(engine, CENTER, T, [600], prob=0.2)
-        single = engine.s_query(SQuery(CENTER, T, 600, 0.2), algorithm="es")
+        single = s_query(client, SQuery(CENTER, T, 600, 0.2), algorithm="es")
         band_roads = {
             test_dataset.network.segment(s).canonical_id()
             for s in bands[0].segments

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.st_index import STIndex
-from repro.io.persist import load_st_index, save_st_index
+from repro.io.persist import open_store, save_store
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagestore import BufferPool, PageStore, RecordPointer
 
@@ -513,17 +513,21 @@ class TestGatherMemoInvalidation:
 
 
 class TestSTIndexPersistence:
-    def test_round_trip_serves_identical_records(self, engine, tmp_path):
+    @pytest.fixture()
+    def store(self, engine, tmp_path):
+        return save_store(engine, tmp_path / "store", 300)
+
+    def test_round_trip_serves_identical_records(self, engine, store, tmp_path):
         index = engine.st_index(300)
-        path = save_st_index(index, tmp_path / "st_index.npz")
-        loaded = load_st_index(path, index.network)
+        reopened = open_store(store)
+        loaded = reopened.st_index(300)
         assert loaded.delta_t_s == index.delta_t_s
         assert loaded.stats.num_entries == index.stats.num_entries
-        # Stable under repeated cycles: reloading must not grow the disk
+        # Stable under repeated cycles: re-saving must not grow the disk
         # (the restored store opens its tail lazily, on first append).
-        again = load_st_index(
-            save_st_index(loaded, tmp_path / "st_index2.npz"), index.network
-        )
+        again = open_store(
+            save_store(reopened, tmp_path / "store2", 300)
+        ).st_index(300)
         assert again.disk.num_pages == loaded.disk.num_pages
         keys = sorted(index._directory)
         assert sorted(loaded._directory) == keys
@@ -532,22 +536,18 @@ class TestSTIndexPersistence:
                 segment_id, slot
             )
 
-    def test_loaded_index_charges_reads(self, engine, tmp_path):
-        index = engine.st_index(300)
-        path = save_st_index(index, tmp_path / "st_index.npz")
-        loaded = load_st_index(path, index.network)
+    def test_loaded_index_charges_reads(self, store):
+        loaded = open_store(store).st_index(300)
         (segment_id, slot) = next(iter(loaded._directory))
         before = loaded.disk.snapshot()
         loaded.time_entries(segment_id, slot)
         diff = loaded.disk.snapshot() - before
         assert diff.pool_hits + diff.pool_misses >= 1
 
-    def test_loaded_index_accepts_appends(self, engine, tmp_path):
+    def test_loaded_index_accepts_appends(self, store):
         from repro.trajectory.model import MatchedTrajectory, SegmentVisit
 
-        index = engine.st_index(300)
-        path = save_st_index(index, tmp_path / "st_index.npz")
-        loaded = load_st_index(path, index.network)
+        loaded = open_store(store).st_index(300)
         segment_id = next(iter(loaded._directory))[0]
         trajectory = MatchedTrajectory(
             trajectory_id=999_999,
@@ -566,25 +566,14 @@ class TestSTIndexPersistence:
             for trajectory_id, _ in visits
         )
 
-    def test_corrupt_pointer_geometry_rejected(self, engine, tmp_path):
+    def test_corrupt_pointer_geometry_rejected(self, store):
         import numpy as np
 
-        index = engine.st_index(300)
-        path = save_st_index(index, tmp_path / "st_index.npz")
+        path = store / "directory.npz"
         with np.load(path) as data:
             fields = {name: data[name] for name in data.files}
         fields["dir_num_pages"] = fields["dir_num_pages"].copy()
         fields["dir_num_pages"][0] = 0  # extent claiming zero pages
-        bad = tmp_path / "corrupt.npz"
-        np.savez_compressed(bad, **fields)
+        np.savez_compressed(path, **fields)
         with pytest.raises(ValueError, match="outside the persisted page range"):
-            load_st_index(bad, index.network)
-
-    def test_unbuilt_index_rejected(self, engine, tmp_path):
-        from repro.network.model import RoadNetwork
-
-        fresh = STIndex(engine.network, 300)
-        with pytest.raises(ValueError):
-            save_st_index(fresh, tmp_path / "nope.npz")
-        with pytest.raises(TypeError):
-            save_st_index(RoadNetwork(), tmp_path / "nope.npz")
+            open_store(store)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks.client_protocol import s_query
 from repro.core.query import QueryResult, SQuery
 from repro.eval.runner import (
     SweepPoint,
@@ -103,7 +104,7 @@ class TestVizEdgeCases:
         kinds = {f["geometry"]["type"] for f in geo["features"]}
         assert kinds == {"LineString"}
 
-    def test_start_marker_priority(self, engine, test_dataset):
-        result = engine.s_query(SQuery(CENTER, T, 600, 0.2))
+    def test_start_marker_priority(self, client, test_dataset):
+        result = s_query(client, SQuery(CENTER, T, 600, 0.2))
         art = render_region(result, test_dataset.network, width=50, height=20)
         assert art.count("@") >= 1

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.client_protocol import m_query, s_query
 from repro.core.con_index import (
     ConnectionIndex,
     FrontierEntry,
@@ -34,10 +35,10 @@ class TestExplain:
         assert explanation.region_segments >= 0
         assert explanation.examined >= 0
 
-    def test_explanation_matches_query(self, engine):
+    def test_explanation_matches_query(self, engine, client):
         query = SQuery(CENTER, T, 600, 0.2)
         explanation = explain_s_query(engine, query)
-        result = engine.s_query(query)
+        result = s_query(client, query)
         assert explanation.region_segments == len(result.segments)
         assert explanation.max_cover == len(result.max_region.cover)
 
@@ -57,12 +58,12 @@ class TestExplain:
         # A query with no start trajectories stops after two stages.
         assert len(explanation.stages) <= 2 or explanation.region_segments >= 0
 
-    def test_m_query_stages(self, engine):
+    def test_m_query_stages(self, engine, client):
         query = MQuery((CENTER, Point(1000.0, 600.0)), T, 600, 0.2)
         explanation = explain_m_query(engine, query)
         assert explanation.stages[0].name == "start-segment lookup"
         assert explanation.stages[-1].name == "trace-back search"
-        result = engine.m_query(query)
+        result = m_query(client, query)
         assert explanation.region_segments == len(result.segments)
 
 

@@ -15,14 +15,15 @@ import threading
 import numpy as np
 import pytest
 
+from benchmarks.client_protocol import s_query
+from repro.api import ReachabilityClient
 from repro.core.engine import ReachabilityEngine
 from repro.core.query import SQuery
 from repro.core.st_index import STIndex
 from repro.io.persist import (
     PersistFormatError,
-    load_st_index,
+    load_database,
     open_store,
-    save_st_index,
     save_store,
 )
 from repro.network.generator import grid_city
@@ -91,8 +92,7 @@ class TestBackendEquivalence:
         for name, disk in disks.items():
             engine = ReachabilityEngine(network, db, disk=disk)
             engine.st_index(300)
-            with pytest.warns(DeprecationWarning):
-                results[name] = engine.s_query(query)
+            results[name] = s_query(ReachabilityClient(engine), query)
             stats[name] = disk.snapshot()
         assert results["sim"].segments == results["file"].segments
         # Page-granular accounting identical: fault-ins are uncharged.
@@ -134,11 +134,9 @@ class TestStoreRoundTrip:
     def test_query_equivalence_and_lazy_faulting(self, saved):
         store, engine = saved
         query = SQuery(Point(0, 0), T, 600, 0.2)
-        with pytest.warns(DeprecationWarning):
-            expected = engine.s_query(query)
+        expected = s_query(ReachabilityClient(engine), query)
         reopened = open_store(store)
-        with pytest.warns(DeprecationWarning):
-            got = reopened.s_query(query)
+        got = s_query(ReachabilityClient(reopened), query)
         assert expected.segments  # non-trivial query on the real dataset
         assert got.segments == expected.segments
         disk = reopened.disk
@@ -201,8 +199,7 @@ class TestStoreRoundTrip:
         store, _ = saved
         engine = open_store(store, readonly=True)
         query = SQuery(Point(0, 0), T, 600, 0.3)
-        with pytest.warns(DeprecationWarning):
-            assert engine.s_query(query).segments
+        assert s_query(ReachabilityClient(engine), query).segments
         disk = engine.disk
         assert isinstance(disk, FileBackedDisk)
         disk.commit(meta=b"ignored")  # no-op, not an error
@@ -280,49 +277,54 @@ class TestExportStateAtomicity:
 
 class TestPersistFormatErrors:
     @pytest.fixture()
-    def st_index_file(self, network, route, tmp_path):
-        index = STIndex(network, 300, disk=SimulatedDisk(page_size=512))
-        index.build(make_database(route))
-        path = tmp_path / "index.npz"
-        save_st_index(index, path)
-        return path, index
+    def store(self, network, route, tmp_path):
+        engine = ReachabilityEngine(
+            network, make_database(route), disk=SimulatedDisk(page_size=512)
+        )
+        index = engine.st_index(300)
+        return save_store(engine, tmp_path / "store", 300), index
 
-    def test_round_trip_still_works(self, st_index_file, network, route):
-        path, index = st_index_file
-        loaded = load_st_index(path, network)
+    def test_round_trip_still_works(self, store, route):
+        path, index = store
+        loaded = open_store(path).st_index(300)
         slot = index.slot_of(T)
         for seg in set(route):
             assert loaded.time_list(seg, slot) == index.time_list(seg, slot)
 
-    def test_truncated_file_rejected(self, st_index_file, network):
-        path, _ = st_index_file
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
+    def test_truncated_file_rejected(self, store):
+        path, _ = store
+        directory = path / "directory.npz"
+        blob = directory.read_bytes()
+        directory.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(PersistFormatError):
-            load_st_index(path, network)
+            open_store(path)
 
-    def test_garbage_bytes_rejected(self, st_index_file, network):
-        path, _ = st_index_file
-        path.write_bytes(b"this is not an npz archive at all")
+    def test_garbage_bytes_rejected(self, store):
+        path, _ = store
+        (path / "directory.npz").write_bytes(b"this is not an npz archive at all")
         with pytest.raises(PersistFormatError):
-            load_st_index(path, network)
+            open_store(path)
 
-    def test_future_version_rejected(self, st_index_file, network):
-        path, _ = st_index_file
-        data = dict(np.load(path))
+    def test_future_version_rejected(self, store):
+        path, _ = store
+        directory = path / "directory.npz"
+        data = dict(np.load(directory))
         data["version"] = np.int64(99)
-        np.savez_compressed(path, **data)
-        with pytest.raises(PersistFormatError, match="unsupported ST-Index format"):
-            load_st_index(path, network)
+        np.savez_compressed(directory, **data)
+        with pytest.raises(
+            PersistFormatError, match="unsupported store directory format"
+        ):
+            open_store(path)
 
-    def test_missing_array_rejected(self, st_index_file, network):
-        path, _ = st_index_file
-        data = dict(np.load(path))
+    def test_missing_array_rejected(self, store):
+        path, _ = store
+        directory = path / "directory.npz"
+        data = dict(np.load(directory))
         data.pop("dir_first_page")
-        np.savez_compressed(path, **data)
-        with pytest.raises(PersistFormatError):
-            load_st_index(path, network)
+        np.savez_compressed(directory, **data)
+        with pytest.raises(PersistFormatError, match="dir_first_page"):
+            open_store(path)
 
-    def test_missing_file_still_file_not_found(self, network, tmp_path):
+    def test_missing_file_still_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_st_index(tmp_path / "absent.npz", network)
+            load_database(tmp_path / "absent.npz")

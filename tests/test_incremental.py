@@ -2,6 +2,8 @@
 
 import pytest
 
+from benchmarks.client_protocol import s_query
+from repro.api import ReachabilityClient
 from repro.core.engine import ReachabilityEngine
 from repro.core.probability import ProbabilityEstimator
 from repro.core.st_index import STIndex
@@ -125,13 +127,14 @@ class TestEndToEndIncremental:
         st = engine.st_index(300)
         location = network.segment(route[0]).midpoint
         query = SQuery(location, T, 600, 0.9)
-        first = engine.s_query(query, algorithm="es")
+        client = ReachabilityClient(engine)
+        first = s_query(client, query, algorithm="es")
         assert route[2] in first.segments or (
             network.segment(route[2]).twin_id in first.segments
         )
         # A new day with no driving arrives: probabilities drop below 0.9.
         db.extend_days(3)
         st.append_trajectories([])  # no trajectories that day
-        second = engine.s_query(query, algorithm="es")
+        second = s_query(client, query, algorithm="es")
         assert second.probabilities[route[0]] == pytest.approx(2 / 3)
         assert not second.segments  # 2/3 < 0.9

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from benchmarks.client_protocol import s_query
+from repro.api import ReachabilityClient
 from repro.cli import build_parser, main
 from repro.io.persist import (
     load_database,
@@ -111,7 +113,9 @@ class TestDatasetPersistence:
             test_dataset.network, test_dataset.database
         )
         query = SQuery(Point(0, 0), day_time(11), 600, 0.2)
-        assert engine.s_query(query).segments == fresh.s_query(query).segments
+        loaded_result = s_query(ReachabilityClient(engine), query)
+        fresh_result = s_query(ReachabilityClient(fresh), query)
+        assert loaded_result.segments == fresh_result.segments
 
 
 class TestCLI:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks.client_protocol import m_query, r_query, s_query
 from repro.core.executors import (
     ExecutionOutcome,
     _REGISTRY,
@@ -107,13 +108,13 @@ class TestPlanErrors:
         with pytest.raises(ValueError, match="sqmb_tbs"):
             plan_s_query(S, "nope")
 
-    def test_engine_facade_propagates(self, engine):
+    def test_engine_facade_propagates(self, client):
         with pytest.raises(ValueError, match="unknown s-query algorithm"):
-            engine.s_query(S, algorithm="nope")
+            s_query(client, S, algorithm="nope")
         with pytest.raises(ValueError, match="unknown m-query algorithm"):
-            engine.m_query(M, algorithm="nope")
+            m_query(client, M, algorithm="nope")
         with pytest.raises(ValueError, match="unknown r-query algorithm"):
-            engine.r_query(S, algorithm="mqmb_tbs")
+            r_query(client, S, algorithm="mqmb_tbs")
 
 
 class TestRegistry:
@@ -128,7 +129,7 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_executor("s", "nope")
 
-    def test_register_round_trip(self, engine):
+    def test_register_round_trip(self, client):
         """A third-party executor registers, plans, and executes."""
 
         def fake_executor(ctx, plan, query):
@@ -143,7 +144,7 @@ class TestRegistry:
             assert "custom_fake" in executor_names("s")
             plan = plan_s_query(S, "custom_fake")
             assert plan.bounding_strategy is None
-            result = engine.s_query(S, algorithm="custom_fake")
+            result = s_query(client, S, algorithm="custom_fake")
             assert result.segments == {1, 2, 3}
             assert result.cost.probability_checks == 0
         finally:
@@ -165,13 +166,10 @@ class TestRegistry:
             register_executor("z", "whatever")
 
     def test_legacy_algorithm_tuples_read_from_registry(self):
-        from repro.core import engine as engine_module
-
-        assert "sqmb_tbs" in engine_module.S_QUERY_ALGORITHMS
-        assert "mqmb_tbs" in engine_module.M_QUERY_ALGORITHMS
-        assert "es" in engine_module.R_QUERY_ALGORITHMS
-        with pytest.raises(AttributeError):
-            engine_module.NO_SUCH_ATTRIBUTE
+        """The per-kind algorithm names come from the executor registry."""
+        assert "sqmb_tbs" in executor_names("s")
+        assert "mqmb_tbs" in executor_names("m")
+        assert "es" in executor_names("r")
 
     def test_execute_plan_fills_cost(self, engine):
         plan = plan_s_query(S, "sqmb_tbs", delta_t_s=300)

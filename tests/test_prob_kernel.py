@@ -19,6 +19,8 @@ import pytest
 
 from test_expansion_kernel import make_network, random_database
 
+from benchmarks.client_protocol import m_query, r_query, s_query
+from repro.api import ReachabilityClient
 from repro.core.engine import ReachabilityEngine
 from repro.core.legacy_probability import (
     LegacyProbabilityEstimator,
@@ -268,7 +270,6 @@ class TestSearchEquivalence:
             )
             self.assert_same_search(new, old)
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_multi_seed_fallback_equivalence(self, engine, topology, seed):
         """m-query TBS with several live seeds: the per-segment fallback
         consultation order must reproduce the scalar result exactly."""
@@ -279,9 +280,10 @@ class TestSearchEquivalence:
             for s in rng.sample(segment_ids, 3)
         )
         query = MQuery(locations, float(day_time(11)), 900.0, 0.1)
-        live = engine.m_query(query, algorithm="mqmb_tbs")
+        client = ReachabilityClient(engine)
+        live = m_query(client, query, algorithm="mqmb_tbs")
         with legacy_probability_path():
-            legacy = engine.m_query(query, algorithm="mqmb_tbs")
+            legacy = m_query(client, query, algorithm="mqmb_tbs")
         assert live.segments == legacy.segments
         assert live.probabilities == legacy.probabilities
         assert live.cost.probability_checks == legacy.cost.probability_checks
@@ -289,7 +291,6 @@ class TestSearchEquivalence:
         assert live.cost.io.page_reads == legacy.cost.io.page_reads
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestEndToEndAccounting:
     """The same query, columnar vs scalar path, on one engine: identical
     results *and* identical charged I/O."""
@@ -304,17 +305,17 @@ class TestEndToEndAccounting:
     )
 
     @pytest.mark.parametrize("kind,algorithm", CASES)
-    def test_page_reads_identical(self, engine, kind, algorithm):
+    def test_page_reads_identical(self, client, kind, algorithm):
         T = float(day_time(11))
         if kind == "m":
             query = MQuery(
                 (Point(0.0, 0.0), Point(2000.0, 1500.0)), T, 600.0, 0.2
             )
-            run = lambda: engine.m_query(query, algorithm=algorithm)
+            run = lambda: m_query(client, query, algorithm=algorithm)
         else:
             query = SQuery(Point(0.0, 0.0), T, 600.0, 0.2)
-            method = engine.s_query if kind == "s" else engine.r_query
-            run = lambda: method(query, algorithm=algorithm)
+            send = s_query if kind == "s" else r_query
+            run = lambda: send(client, query, algorithm=algorithm)
         live = run()
         with legacy_probability_path():
             legacy = run()
@@ -331,7 +332,7 @@ class TestWaveCounters:
     """The probability-path counters surfaced through the cost plumbing."""
 
     def test_cost_fields_populated(self, engine):
-        from repro.api import ReachabilityClient, QueryOptions, Request
+        from repro.api import QueryOptions, Request
 
         client = ReachabilityClient(engine)
         query = SQuery(Point(0.0, 0.0), float(day_time(11)), 600.0, 0.2)
@@ -382,7 +383,6 @@ class TestWaveCounters:
 class TestAppendedChains:
     """Multi-record chains (incremental appends) through the kernel."""
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_chained_records_equivalent(self):
         from repro.trajectory.model import MatchedTrajectory, SegmentVisit
         from repro.datasets.shenzhen_like import TEST_CONFIG, default_dataset
@@ -402,9 +402,10 @@ class TestAppendedChains:
             ]
         )
         query = SQuery(Point(0.0, 0.0), float(T), 600.0, 0.2)
-        live = engine.s_query(query)
+        client = ReachabilityClient(engine)
+        live = s_query(client, query)
         with legacy_probability_path():
-            legacy = engine.s_query(query)
+            legacy = s_query(client, query)
         assert live.segments == legacy.segments
         assert live.probabilities == legacy.probabilities
         assert live.cost.io.page_reads == legacy.cost.io.page_reads

@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks.client_protocol import r_query
 from repro.core.query import SQuery
 from repro.core.reverse import (
     ReverseProbabilityEstimator,
@@ -121,17 +122,17 @@ class TestReverseQuery:
         with pytest.raises(ValueError):
             reverse_bounding_region(con, 0, T, 600, kind="sideways")
 
-    def test_reverse_region_contains_upstream(self, engine, test_dataset):
+    def test_reverse_region_contains_upstream(self, client, test_dataset):
         """Forward ES agreement: r is in the reverse region of S iff S is in
         the forward region of r (same probability formula both ways)."""
         query = SQuery(CENTER, T, 600, 0.2)
-        reverse_es = engine.r_query(query, algorithm="es")
-        ours = engine.r_query(query, algorithm="sqmb_tbs")
+        reverse_es = r_query(client, query, algorithm="es")
+        ours = r_query(client, query, algorithm="sqmb_tbs")
         assert reverse_es.segments - ours.segments == set()
         over = ours.segments - reverse_es.segments
         assert over <= ours.min_region.cover
 
-    def test_reverse_dual_of_forward(self, engine, test_dataset):
+    def test_reverse_dual_of_forward(self, engine, client, test_dataset):
         """Spot-check duality through the raw estimators."""
         from repro.core.probability import ProbabilityEstimator
 
@@ -140,7 +141,7 @@ class TestReverseQuery:
         reverse_est = ReverseProbabilityEstimator(st, target, T, 600, 10)
         # Pick an origin the reverse query claims reachable-from.
         query = SQuery(CENTER, T, 600, 0.2)
-        region = engine.r_query(query, algorithm="es").segments
+        region = r_query(client, query, algorithm="es").segments
         if not region:
             pytest.skip("empty reverse region")
         origin = sorted(region)[0]
@@ -149,16 +150,16 @@ class TestReverseQuery:
             reverse_est.probability(origin)
         )
 
-    def test_reverse_query_engine_api(self, engine):
+    def test_reverse_query_engine_api(self, client):
         query = SQuery(CENTER, T, 600, 0.2)
-        result = engine.r_query(query)
+        result = r_query(client, query)
         assert isinstance(result.segments, set)
         assert result.cost.wall_time_s > 0
         with pytest.raises(ValueError):
-            engine.r_query(query, algorithm="magic")
+            r_query(client, query, algorithm="magic")
 
-    def test_reverse_cheaper_than_reverse_es(self, engine):
+    def test_reverse_cheaper_than_reverse_es(self, client):
         query = SQuery(CENTER, T, 600, 0.2)
-        ours = engine.r_query(query)
-        baseline = engine.r_query(query, algorithm="es")
+        ours = r_query(client, query)
+        baseline = r_query(client, query, algorithm="es")
         assert ours.cost.io.page_reads < baseline.cost.io.page_reads

@@ -2,6 +2,8 @@
 
 import pytest
 
+from benchmarks.client_protocol import m_query
+from repro.api import QueryOptions, ReachabilityClient, Request
 from repro.core.query import MQuery, SQuery
 from repro.core.service import QueryService, as_service
 from repro.eval import config
@@ -19,6 +21,12 @@ def service(engine):
 
 
 @pytest.fixture(scope="module")
+def service_client(service):
+    """A client answering through the module service's region cache."""
+    return ReachabilityClient(service)
+
+
+@pytest.fixture(scope="module")
 def fig48_queries(test_dataset):
     """The Fig 4.8(a)-style m-query workload on the test dataset."""
     locations = tuple(
@@ -30,22 +38,38 @@ def fig48_queries(test_dataset):
 
 
 class TestSingleQueries:
-    def test_s_query_matches_engine(self, engine, service):
+    def test_s_query_matches_engine(self, service_client):
+        """Region cache on (the service's LRU) vs off: same answer."""
         query = SQuery(CENTER, T, 600, 0.2)
-        via_service = service.s_query(query)
-        via_engine = engine.s_query(query)
-        assert via_service.segments == via_engine.segments
-        assert via_service.start_segments == via_engine.start_segments
+        cached = service_client.send(
+            Request(query, QueryOptions(algorithm="sqmb_tbs"))
+        ).result
+        uncached = service_client.send(
+            Request(
+                query, QueryOptions(algorithm="sqmb_tbs", reuse_regions=False)
+            )
+        ).result
+        assert cached.segments == uncached.segments
+        assert cached.start_segments == uncached.start_segments
 
-    def test_query_dispatches_on_type(self, service):
-        m = MQuery((CENTER,), T, 600, 0.2)
-        s = SQuery(CENTER, T, 600, 0.2)
-        assert service.plan(m).kind == "m"
-        assert service.plan(s).kind == "s"
-        assert service.query(m).segments == service.query(s).segments
+    def test_query_dispatches_on_type(self, service_client):
+        m = Request(
+            MQuery((CENTER,), T, 600, 0.2), QueryOptions(algorithm="mqmb_tbs")
+        )
+        s = Request(
+            SQuery(CENTER, T, 600, 0.2), QueryOptions(algorithm="sqmb_tbs")
+        )
+        assert service_client.plan(m)[0].kind == "m"
+        assert service_client.plan(s)[0].kind == "s"
+        assert service_client.send(m).segments == service_client.send(s).segments
 
-    def test_r_query_kind(self, service):
-        plan = service.plan(SQuery(CENTER, T, 600, 0.2), kind="r")
+    def test_r_query_kind(self, service_client):
+        plan, _ = service_client.plan(
+            Request(
+                SQuery(CENTER, T, 600, 0.2),
+                QueryOptions(direction="reverse", algorithm="sqmb_tbs"),
+            )
+        )
         assert plan.kind == "r"
         assert plan.bounding_strategy == "reverse"
 
@@ -61,10 +85,10 @@ class TestBatches:
         assert report.page_reads == 0
 
     def test_batch_equivalent_and_fewer_reads_than_sequential(
-        self, engine, service, fig48_queries
+        self, client, service, fig48_queries
     ):
         """The acceptance workload: same result sets, fewer page reads."""
-        sequential = [engine.m_query(q) for q in fig48_queries]
+        sequential = [m_query(client, q) for q in fig48_queries]
         sequential_reads = sum(r.cost.io.page_reads for r in sequential)
         report = service.run_batch(fig48_queries)
         assert [r.segments for r in report.results] == [
@@ -77,7 +101,7 @@ class TestBatches:
         # Warm pools inside the batch mean hits were served cache-side.
         assert report.io.pool_hits > 0
 
-    def test_batch_dedups_shared_bounding_regions(self, engine):
+    def test_batch_dedups_shared_bounding_regions(self, engine, client):
         """Same seeds + slot + duration at different thresholds: the
         bounding regions are computed once and reused."""
         fresh = QueryService(engine)
@@ -91,7 +115,7 @@ class TestBatches:
         # queries reuse both.
         assert report.regions_computed == 2
         assert report.regions_reused == 4
-        sequential = [engine.m_query(q) for q in batch]
+        sequential = [m_query(client, q) for q in batch]
         assert [r.segments for r in report.results] == [
             r.segments for r in sequential
         ]

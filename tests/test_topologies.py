@@ -7,6 +7,8 @@ by running it on ring-radial and random-planar networks.
 
 import pytest
 
+from benchmarks.client_protocol import s_query
+from repro.api import ReachabilityClient
 from repro.core.engine import ReachabilityEngine
 from repro.core.query import SQuery
 from repro.datasets.shenzhen_like import ShenzhenLikeConfig, build_shenzhen_like
@@ -49,8 +51,9 @@ class TestTopologyVariants:
         dataset, engine = topo_engine
         center = dataset.network.bounds().center
         query = SQuery(center, day_time(11), 600, 0.2)
-        ours = engine.s_query(query)
-        baseline = engine.s_query(query, algorithm="es")
+        client = ReachabilityClient(engine)
+        ours = s_query(client, query)
+        baseline = s_query(client, query, algorithm="es")
         # TBS never misses what ES finds; over-claim bounded by Bmin.
         assert baseline.segments - ours.segments == set()
         if ours.min_region is not None:
@@ -61,8 +64,9 @@ class TestTopologyVariants:
     def test_region_grows_with_duration(self, topo_engine):
         dataset, engine = topo_engine
         center = dataset.network.bounds().center
-        short = engine.s_query(SQuery(center, day_time(11), 300, 0.2))
-        long = engine.s_query(SQuery(center, day_time(11), 1200, 0.2))
+        client = ReachabilityClient(engine)
+        short = s_query(client, SQuery(center, day_time(11), 300, 0.2))
+        long = s_query(client, SQuery(center, day_time(11), 1200, 0.2))
         assert len(long.segments) >= len(short.segments)
 
     def test_determinism(self, topo_engine):

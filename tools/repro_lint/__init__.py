@@ -3,8 +3,8 @@
 The linter enforces cross-cutting conventions that ordinary tests cannot
 see: lock discipline around shared mutable state (RL001), the DiskStats
 I/O-accounting contract (RL002), spawn-safety of serving payloads
-(RL003), executor registry/router completeness (RL004), and the
-deprecation firewall around legacy query shims (RL005).
+(RL003), executor registry/router completeness (RL004), and
+``__all__`` export consistency (RL005).
 
 Usage::
 

@@ -5,7 +5,7 @@ from tools.repro_lint.rules import (  # noqa: F401
     rl002_io,
     rl003_spawn,
     rl004_registry,
-    rl005_deprecation,
+    rl005_exports,
     rl006_lock_order,
     rl007_accounting_flow,
     rl008_counter_drift,

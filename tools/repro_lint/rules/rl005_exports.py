@@ -1,19 +1,6 @@
-"""RL005 — deprecation firewall.
+"""RL005 — export consistency.
 
-``ReachabilityEngine.s_query/m_query/r_query`` and
-``QueryService.query/s_query/m_query/r_query`` are deprecated
-compatibility shims kept alive for external callers.  Internal code in
-``src/repro/`` must use ``Request``/``execute`` so the shims can be
-removed without an archaeology pass.  This rule flags:
-
-* any ``.s_query(`` / ``.m_query(`` / ``.r_query(`` attribute call in
-  ``src/repro`` (the shim *definitions* are ``def`` statements, not
-  calls, so they do not trip the rule), and
-* ``.query(`` calls whose receiver looks like a service
-  (a name containing ``service`` or an attribute named ``service``),
-  which is the ``QueryService.query`` shim.
-
-It also keeps ``__all__`` honest in modules that declare one:
+Keeps ``__all__`` honest in modules that declare one:
 
 * every name listed in ``__all__`` must be defined or imported at
   module top level, and
@@ -34,24 +21,8 @@ from tools.repro_lint.core import (
     Project,
     Rule,
     SourceFile,
-    enclosing_statement_line,
     register_rule,
 )
-
-SHIM_METHODS = frozenset({"s_query", "m_query", "r_query"})
-
-
-def _in_src_repro(rel: str) -> bool:
-    norm = "/" + rel.replace("\\", "/")
-    return "/src/repro/" in norm or norm.startswith("/repro/")
-
-
-def _servicey_receiver(node: ast.AST) -> bool:
-    if isinstance(node, ast.Name):
-        return "service" in node.id.lower()
-    if isinstance(node, ast.Attribute):
-        return "service" in node.attr.lower()
-    return False
 
 
 # Shared with the symbol table: one definition of "bound at top level".
@@ -68,44 +39,16 @@ def _module_all(tree: ast.Module) -> Optional[ast.Assign]:
 
 
 @register_rule
-class DeprecationFirewall(Rule):
+class ExportConsistency(Rule):
     id = "RL005"
-    name = "deprecation-firewall"
+    name = "export-consistency"
     severity = "error"
-    description = (
-        "internal code must not call the deprecated s_query/m_query/r_query/"
-        "QueryService.query shims; __all__ must match defined exports"
-    )
+    description = "__all__ must match the module's defined exports"
 
     def check(self, project: Project) -> Iterator[Finding]:
         for src in project.iter_parsed():
             assert src.tree is not None
-            yield from self._check_shim_calls(src)
             yield from self._check_all(src)
-
-    def _check_shim_calls(self, src: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(src.tree):  # type: ignore[arg-type]
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-                continue
-            attr = node.func.attr
-            if attr in SHIM_METHODS:
-                yield self.finding(
-                    src,
-                    node.lineno,
-                    node.col_offset,
-                    f"call to deprecated shim .{attr}(); use a Request envelope "
-                    "with execute()/submit() instead",
-                    anchor=enclosing_statement_line(node),
-                )
-            elif attr == "query" and _servicey_receiver(node.func.value):
-                yield self.finding(
-                    src,
-                    node.lineno,
-                    node.col_offset,
-                    "call to deprecated QueryService.query(); use "
-                    "QueryService.execute(Request(...)) instead",
-                    anchor=enclosing_statement_line(node),
-                )
 
     def _check_all(self, src: SourceFile) -> Iterator[Finding]:
         tree = src.tree

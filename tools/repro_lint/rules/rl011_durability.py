@@ -12,8 +12,8 @@ no test notices until a crash lands inside one.
 RL011 turns the promise into an RL007-style reachability proof over the
 shared call graph:
 
-    every path from a durable-write entry point (``save_store`` /
-    ``save_st_index``, ``FileBackedDisk.commit`` / ``checkpoint``,
+    every path from a durable-write entry point (``save_store``,
+    ``FileBackedDisk.commit`` / ``checkpoint``,
     ``STIndex.append_trajectories`` / ``ReachabilityEngine
     .append_trajectories``) to a raw file-write sink must traverse a
     durability barrier first.
@@ -58,7 +58,7 @@ ENTRY_METHODS = frozenset(
 #: Module-level durable-write entry functions (any module: fixture trees
 #: keep their layout).  ``save_dataset`` is deliberately absent — the
 #: dataset builder is a one-shot offline artifact, not the durable tier.
-ENTRY_FUNCTIONS = frozenset({"save_store", "save_st_index"})
+ENTRY_FUNCTIONS = frozenset({"save_store"})
 
 #: ``os.<name>`` calls that put bytes on disk.  ``os.replace`` is the
 #: atomic primitive itself and deliberately absent.
